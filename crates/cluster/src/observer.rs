@@ -15,8 +15,11 @@
 //! * result tuples carry a [`TaskTiming`] attribution record
 //!   (space-wait, transfer, compute, result-write), aggregated into
 //!   per-worker and per-job histograms;
-//! * a straggler detector flags workers whose compute p99 exceeds
-//!   `k · median` of the cluster's per-worker medians;
+//! * a straggler detector flags workers whose recent compute median
+//!   exceeds `k ×` the (lower) median of the workers' recent medians —
+//!   "recent" meaning within the cluster's last `history_depth` task
+//!   attributions, so a worker that stops producing samples (because it
+//!   was stopped) ages out of the comparison and its flag clears;
 //! * the observer implements [`DecisionInput`], so the monitoring agent's
 //!   exclusion decisions can use load *trends* and straggler flags, not
 //!   only the instantaneous SNMP sample.
@@ -27,7 +30,8 @@
 //! worker that never publishes simply falls back to raw SNMP samples —
 //! the same probe-and-fallback posture as the wire protocol.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -213,10 +217,13 @@ impl DecisionInput for RawSamples {}
 pub struct ObserverConfig {
     /// Samples retained per history ring.
     pub history_depth: usize,
-    /// Straggler threshold: flagged when a worker's compute p99 exceeds
-    /// `k ×` the median of all workers' median compute times.
+    /// Straggler threshold: flagged when a worker's median compute time
+    /// exceeds `k ×` the lower median of the qualifying workers' median
+    /// compute times, all taken over the cluster's last `history_depth`
+    /// task attributions.
     pub straggler_k: f64,
-    /// Minimum completed tasks before a worker can be judged at all.
+    /// Minimum tasks a worker must have among those recent attributions
+    /// before it can be judged at all.
     pub straggler_min_samples: u64,
 }
 
@@ -268,6 +275,9 @@ struct WorkerView {
     tasks: HistoryRing,
     /// Per-worker compute-time histogram (µs), from task attribution.
     compute: Histogram,
+    /// The worker's latest compute samples (µs), each tagged with its
+    /// cluster-wide attribution sequence number; at most `history_depth`.
+    recent: VecDeque<(u64, u64)>,
     /// Aggregate non-compute attribution (µs), for the table.
     wait_us: u64,
     xfer_us: u64,
@@ -284,6 +294,7 @@ impl WorkerView {
             framework_load: HistoryRing::new(depth),
             tasks: HistoryRing::new(depth),
             compute: Histogram::new(),
+            recent: VecDeque::with_capacity(depth),
             wait_us: 0,
             xfer_us: 0,
             write_us: 0,
@@ -318,6 +329,10 @@ impl WorkerView {
 pub struct ClusterObserver {
     config: ObserverConfig,
     workers: Mutex<BTreeMap<String, WorkerView>>,
+    /// Task attributions recorded so far, cluster-wide: the clock the
+    /// straggler detector's recency window runs on. Only advanced under
+    /// the `workers` lock.
+    attributions: AtomicU64,
     /// Per-job compute histograms (µs), keyed by job name.
     jobs: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
@@ -328,6 +343,7 @@ impl ClusterObserver {
         ClusterObserver {
             config,
             workers: Mutex::new(BTreeMap::new()),
+            attributions: AtomicU64::new(0),
             jobs: Mutex::new(BTreeMap::new()),
         }
     }
@@ -378,6 +394,11 @@ impl ClusterObserver {
                 .entry(worker.to_owned())
                 .or_insert_with(|| WorkerView::new(worker, self.config.history_depth));
             view.compute.observe(timing.compute_us);
+            let seq = self.attributions.fetch_add(1, Ordering::Relaxed) + 1;
+            if view.recent.len() == self.config.history_depth.max(1) {
+                view.recent.pop_front();
+            }
+            view.recent.push_back((seq, timing.compute_us));
             view.wait_us += timing.wait_us;
             view.xfer_us += timing.xfer_us;
             view.write_us += timing.write_us;
@@ -406,54 +427,61 @@ impl ClusterObserver {
             .unwrap_or(0)
     }
 
-    /// Workers currently flagged as compute stragglers: compute p99
-    /// exceeding `k ×` the median of all qualifying workers' medians.
-    /// Needs at least two qualifying workers — an outlier is only
-    /// meaningful relative to peers.
+    /// Workers currently flagged as compute stragglers: median compute
+    /// exceeding `k ×` the lower median of the qualifying workers'
+    /// medians. A worker qualifies with at least `straggler_min_samples`
+    /// samples among the cluster's last `history_depth` attributions.
+    ///
+    /// Medians on both sides, so a preemption or two in a worker's tail
+    /// cannot flag it; and recent samples only, so a worker that stopped
+    /// computing (typically because this flag stopped it) drops out of
+    /// the comparison once its peers have moved the window past it — the
+    /// flag clears and the inference engine may start it again, instead
+    /// of judging it forever on a frozen history. Needs at least two
+    /// qualifying workers (an outlier is only meaningful relative to
+    /// peers), and never flags the whole pool.
     pub fn stragglers(&self) -> Vec<String> {
         let workers = self.workers.lock();
-        let mut medians: Vec<u64> = Vec::new();
-        let mut candidates: Vec<(&String, u64)> = Vec::new();
+        let depth = self.config.history_depth.max(1) as u64;
+        let oldest_fresh = self
+            .attributions
+            .load(Ordering::Relaxed)
+            .saturating_sub(depth);
+        let mut medians: Vec<(&String, u64)> = Vec::new();
         for (name, view) in workers.iter() {
-            let snap = view.compute.snapshot();
-            if snap.count < self.config.straggler_min_samples {
+            let mut fresh: Vec<u64> = view
+                .recent
+                .iter()
+                .filter(|(seq, _)| *seq > oldest_fresh)
+                .map(|(_, us)| *us)
+                .collect();
+            if (fresh.len() as u64) < self.config.straggler_min_samples.max(1) {
                 continue;
             }
-            let p50 = snap.p50().unwrap_or(0);
-            medians.push(p50);
-            candidates.push((name, snap.p99().unwrap_or(0)));
+            let mid = (fresh.len() - 1) / 2;
+            medians.push((name, *fresh.select_nth_unstable(mid).1));
         }
         if medians.len() < 2 {
             return Vec::new();
         }
-        let pool = medians.len();
-        medians.sort_unstable();
+        medians.sort_unstable_by_key(|(_, median)| *median);
         // Lower median on even counts: in a two-worker cluster the upper
         // median IS the slow worker's own median, which would make a
         // straggler mathematically undetectable.
-        let median_of_medians = medians[(medians.len() - 1) / 2].max(1);
-        let threshold = (median_of_medians as f64) * self.config.straggler_k;
-        let mut flagged: Vec<(&String, u64)> = candidates
-            .into_iter()
-            .filter(|(_, p99)| (*p99 as f64) > threshold)
-            .collect();
+        let baseline = medians[(medians.len() - 1) / 2].1.max(1);
+        let threshold = baseline as f64 * self.config.straggler_k;
         // Never flag the whole pool: excluding every worker would starve
-        // the cluster, and the least-slow "straggler" is by definition
-        // the pool's new baseline, not an outlier from it. Sparing it
-        // also makes spurious flags self-correcting — a worker stopped
-        // by a transient hiccup unflags (and restarts) as soon as a
-        // genuinely slower peer qualifies.
-        if flagged.len() == pool {
-            if let Some(fastest) = flagged
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, p99))| *p99)
-                .map(|(i, _)| i)
-            {
-                flagged.remove(fastest);
-            }
-        }
-        flagged.into_iter().map(|(name, _)| name.clone()).collect()
+        // the cluster, and the fastest "straggler" is by definition the
+        // pool's baseline, not an outlier from it. The fastest is first in
+        // `medians`, and it is over the threshold only when everyone is
+        // (which takes `k < 1`), so it is always spared.
+        let mut flagged: Vec<String> = medians[1..]
+            .iter()
+            .filter(|(_, median)| (*median as f64) > threshold)
+            .map(|(name, _)| (*name).clone())
+            .collect();
+        flagged.sort_unstable();
+        flagged
     }
 
     /// The aligned text table behind `GET /cluster`.
@@ -764,6 +792,60 @@ mod tests {
         }
         assert_eq!(obs.stragglers(), vec!["worse".to_owned()]);
         assert!(!obs.is_straggler("meh"));
+    }
+
+    fn compute(us: u64) -> TaskTiming {
+        TaskTiming {
+            compute_us: us,
+            ..TaskTiming::default()
+        }
+    }
+
+    #[test]
+    fn preemption_hiccups_on_equal_peers_never_flag() {
+        // Microsecond tasks where one in fifty is preempted for a
+        // millisecond: both workers' tails sit ~100x over their medians,
+        // but their medians are equal, so neither is a straggler.
+        let obs = ClusterObserver::new(ObserverConfig::default());
+        for i in 0..2_000u64 {
+            for (worker, phase) in [("w0", 0u64), ("w1", 25)] {
+                let us = if (i + phase) % 50 == 0 {
+                    1_000
+                } else {
+                    9 + i % 3
+                };
+                obs.record_attribution("rank", worker, &compute(us));
+            }
+            assert!(obs.stragglers().is_empty(), "flagged after {i} rounds");
+        }
+    }
+
+    #[test]
+    fn a_stopped_stragglers_flag_clears_once_its_samples_go_stale() {
+        let config = ObserverConfig {
+            history_depth: 32,
+            straggler_k: 4.0,
+            straggler_min_samples: 5,
+        };
+        let obs = ClusterObserver::new(config);
+        for _ in 0..10 {
+            obs.record_attribution("job", "fast", &compute(1_000));
+            obs.record_attribution("job", "slow", &compute(50_000));
+        }
+        assert_eq!(obs.stragglers(), vec!["slow".to_owned()]);
+        // Stopped: only its peer keeps producing. Within the window the
+        // verdict stands ...
+        for _ in 0..16 {
+            obs.record_attribution("job", "fast", &compute(1_000));
+        }
+        assert!(obs.is_straggler("slow"));
+        // ... and once the window has moved past its last sample, the
+        // stopped worker no longer qualifies and is no longer flagged.
+        for _ in 0..16 {
+            obs.record_attribution("job", "fast", &compute(1_000));
+        }
+        assert!(obs.stragglers().is_empty());
+        assert_eq!(obs.effective_load("slow", 0), 0);
     }
 
     #[test]

@@ -96,19 +96,24 @@ pub struct FrameworkConfig {
     /// Samples retained per federation history ring (per worker, per
     /// series).
     pub history_depth: usize,
-    /// Straggler threshold: a worker is flagged when its compute p99
-    /// exceeds `straggler_k ×` the median of all workers' median
-    /// compute times.
+    /// Straggler threshold: a worker is flagged when its median compute
+    /// time exceeds `straggler_k ×` the lower median of the workers'
+    /// medians, all over the cluster's last `history_depth` completed
+    /// tasks — so a stopped straggler's samples age out and its flag
+    /// clears.
     pub straggler_k: f64,
-    /// Completed tasks required before a worker can be judged a
+    /// Tasks a worker must have among the cluster's last
+    /// `history_depth` completed tasks before it can be judged a
     /// straggler.
     pub straggler_min_samples: u64,
     /// Tail-based trace retention: a finished task whose compute time
-    /// reaches this percentile of the worker's per-job compute history
+    /// exceeds this percentile of the worker's per-job compute history
     /// gets its full flight-recorder trace pinned (kept past ring
-    /// eviction). Errored or retried tasks are always retained. Set
-    /// `>= 1.0` to retain only the per-job maximum seen so far; values
-    /// are clamped to `[0, 1]`.
+    /// eviction), unless that history's median task computes for no
+    /// longer than its share of the take and result-write round trips
+    /// (dispatch-bound tasks have no meaningful compute tail). Errored or
+    /// retried tasks are always retained. Set `>= 1.0` to retain only a
+    /// new per-job maximum; values are clamped to `[0, 1]`.
     pub trace_retention_percentile: f64,
     /// Completed tasks a worker must have seen (per job) before the
     /// percentile rule fires — below this the distribution is noise.

@@ -125,46 +125,24 @@ impl Master {
             job = job.as_str(),
             tasks = specs.len()
         );
-        for _ in 0..specs.len() {
+        // Results are absorbed once per task id: a resent batch write can
+        // deliver a result twice, and a duplicate must neither count twice
+        // nor stand in for another task's result.
+        let mut completed: BTreeSet<u64> = BTreeSet::new();
+        while completed.len() < specs.len() {
             let Some(tuple) = self.space.take(&template, Some(self.result_timeout))? else {
                 break; // deadline: a worker died or was stopped for good
             };
             let per_task = Instant::now();
-            match ResultEntry::from_tuple(&tuple) {
-                None => report
-                    .failures
-                    .push((u64::MAX, ExecError::App("malformed result entry".into()))),
-                Some(result) => {
-                    times.max_worker_ms = times.max_worker_ms.max(result.span_ms);
-                    let slot = times
-                        .per_worker_ms
-                        .entry(result.worker.clone())
-                        .or_insert(0.0);
-                    *slot = slot.max(result.span_ms);
-                    if let Some(observer) = &self.observer {
-                        observer.record_attribution(&result.job, &result.worker, &result.timing);
-                    }
-                    if let Some(recorder) = &mut recorder {
-                        recorder.record_task(
-                            result.task_id,
-                            &result.worker,
-                            &result.timing,
-                            result.error.is_some(),
-                        );
-                    }
-                    match result.error {
-                        // A poison task exhausted its retries: account for
-                        // it so the run terminates, but report the failure.
-                        Some(error) => report
-                            .failures
-                            .push((result.task_id, ExecError::App(error))),
-                        None => match app.absorb(result.task_id, &result.payload) {
-                            Ok(()) => report.results_collected += 1,
-                            Err(e) => report.failures.push((result.task_id, e)),
-                        },
-                    }
-                }
-            }
+            absorb_result(
+                app,
+                &tuple,
+                &mut completed,
+                &mut report,
+                &mut times,
+                self.observer.as_deref(),
+                recorder.as_mut(),
+            );
             let elapsed = ms_since(per_task);
             aggregation_busy += elapsed;
             max_overhead = max_overhead.max(elapsed);
@@ -564,6 +542,42 @@ mod tests {
         assert!(report.times.workers_used() >= 1);
         // The space is drained: no leftover tasks or results.
         assert_eq!(space.len(), 0);
+    }
+
+    #[test]
+    fn a_duplicated_result_is_absorbed_once() {
+        // A resent batch write can leave a result in the space twice. The
+        // copy must not count twice, nor stand in for task 2's result.
+        let space = Space::new("test");
+        let result = |task_id: u64| {
+            ResultEntry {
+                job: "double".into(),
+                task_id,
+                worker: "w".into(),
+                payload: (task_id * 20).to_bytes(),
+                compute_ms: 0.0,
+                span_ms: 0.0,
+                timing: Default::default(),
+                error: None,
+            }
+            .to_tuple()
+        };
+        space
+            .write_all(vec![result(0), result(0), result(1), result(2)])
+            .unwrap();
+        let mut app = Doubler {
+            n: 3,
+            outputs: vec![],
+        };
+        let mut master = Master::new(space.clone());
+        master.result_timeout = Duration::from_secs(5);
+        let report = master.run(&mut app).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.results_collected, 3);
+        let mut outputs = app.outputs.clone();
+        outputs.sort_unstable();
+        assert_eq!(outputs, vec![0, 20, 40]);
+        assert_eq!(space.count(&result_template("double")), 0);
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //!   application's code bundle from the master's bundle server (paying the
 //!   modeled class-loading cost) and links the executor;
 //! * while Running it takes task entries from the space by value-based
-//!   lookup, computes them, and writes result entries back;
+//!   lookup (up to `task_prefetch` per round trip), computes them, and
+//!   writes their result entries back: as each task ends when it computed
+//!   for longer than a write round trip, otherwise in one batched write per
+//!   taken batch, made just before the next take;
 //! * signals only take effect *between* tasks: the currently executing task
-//!   always completes and its result is written into the space first, so no
-//!   work is ever lost;
+//!   always completes, and every finished task's result is written into the
+//!   space before the signal is acted on, so no work is ever lost;
 //! * on Pause the executor stays linked (Resume skips class loading); on
 //!   Stop it is dropped (the next Start reloads).
 
@@ -233,9 +236,16 @@ fn worker_loop(ls: LoopState) {
     // the task's spans live (flight rings are per-process).
     let mut retention_history: std::collections::BTreeMap<String, acc_telemetry::HistoryRing> =
         std::collections::BTreeMap::new();
-    // A worker can't know its own result-write cost before writing: the
-    // previous write's duration rides the *next* result.
-    let mut last_write_us: u64 = 0;
+    // Result, retry and poison tuples of finished tasks, written to the
+    // space in one batch (see `flush_outbox`) — or one at a time, when
+    // tasks are compute-bound. Never holds more than one taken batch, so
+    // at most `task_prefetch` tuples.
+    let mut outbox: Vec<(Tuple, Outgoing)> = Vec::with_capacity(prefetch);
+    // The last outbox write's round trip (µs) and how many tuples shared
+    // it; `None` before the first write. A worker can't know its own
+    // result-write cost before writing: each result carries its share of
+    // the *previous* write.
+    let mut last_write: Option<(u64, u64)> = None;
     let mut transport_strikes = 0u32;
     let set_load = |pct: u64| {
         if let Some(load) = &ls.config.node_load {
@@ -265,6 +275,11 @@ fn worker_loop(ls: LoopState) {
                 // configuration engine forwards the signal before the
                 // worker fetches the next task).
                 if let Some(msg) = ls.config.duplex.try_recv() {
+                    // Finished tasks' results reach the space before the
+                    // worker pauses or stops.
+                    if !flush_outbox(&ls, &mut outbox, &mut last_write) {
+                        break;
+                    }
                     handle_message(&ls, msg, &mut executor, &set_load);
                     continue;
                 }
@@ -276,6 +291,9 @@ fn worker_loop(ls: LoopState) {
                 };
                 if prefetched.is_empty() {
                     set_load(IDLE_RUNNING_LOAD);
+                    if !flush_outbox(&ls, &mut outbox, &mut last_write) {
+                        break;
+                    }
                     let take_start = Instant::now();
                     let taken = ls.config.space.take_up_to(
                         &template,
@@ -346,11 +364,11 @@ fn worker_loop(ls: LoopState) {
                         let compute_ms = compute_start.elapsed().as_secs_f64() * 1e3;
                         series().compute_us.observe((compute_ms * 1e3) as u64);
                         timing.compute_us = (compute_ms * 1e3) as u64;
-                        timing.write_us = last_write_us;
+                        timing.write_us = last_write.map_or(0, |(rtt_us, n)| rtt_us / n);
                         maybe_retain_trace(
                             &mut retention_history,
                             &task.job,
-                            timing.compute_us,
+                            &timing,
                             outcome.is_err(),
                             &ls.config.framework,
                         );
@@ -358,7 +376,7 @@ fn worker_loop(ls: LoopState) {
                         let span_ms = first_access
                             .map(|f| f.elapsed().as_secs_f64() * 1e3)
                             .unwrap_or(compute_ms);
-                        match outcome {
+                        let (tuple, kind) = match outcome {
                             Ok(payload) => {
                                 let result = ResultEntry {
                                     job: task.job.clone(),
@@ -370,30 +388,15 @@ fn worker_loop(ls: LoopState) {
                                     error: None,
                                     timing,
                                 };
-                                let write_start = Instant::now();
-                                if ls.config.space.write(result.to_tuple()).is_err() {
-                                    break;
-                                }
-                                last_write_us = write_start.elapsed().as_micros() as u64;
-                                event!("worker.result.write", task_id = task.task_id);
-                                series().tasks_completed.inc();
-                                *ls.tasks_done.lock() += 1;
+                                (result.to_tuple(), Outgoing::Result(task.task_id))
                             }
-                            Err(e) if task.retries < ls.config.framework.max_task_retries => {
+                            Err(_) if task.retries < ls.config.framework.max_task_retries => {
                                 // Return the task to the space (with its
                                 // retry count bumped) so another attempt —
                                 // possibly on another worker — can succeed.
-                                let _ = e;
                                 let mut retry = task.clone();
                                 retry.retries += 1;
-                                if ls.config.space.write(retry.to_tuple()).is_err() {
-                                    // Same exit as the result-write sites:
-                                    // swallowing this error would silently
-                                    // lose the task and keep looping against
-                                    // a dead space.
-                                    break;
-                                }
-                                series().tasks_retried.inc();
+                                (retry.to_tuple(), Outgoing::Retry)
                             }
                             Err(e) => {
                                 // Poison task: write a terminal error result
@@ -408,25 +411,32 @@ fn worker_loop(ls: LoopState) {
                                     error: Some(e.to_string()),
                                     timing,
                                 };
-                                if ls.config.space.write(result.to_tuple()).is_err() {
-                                    break;
-                                }
-                                event!(
-                                    "worker.result.write",
-                                    task_id = task.task_id,
-                                    poisoned = true
-                                );
-                                series().tasks_poisoned.inc();
+                                (result.to_tuple(), Outgoing::Poison(task.task_id))
                             }
+                        };
+                        outbox.push((tuple, kind));
+                        // Results wait for the batch only while tasks are
+                        // dispatch-bound. A task that computed for longer
+                        // than a write round trip would have its result
+                        // delayed by more than the round trip batching
+                        // saves (and held in memory meanwhile), so it goes
+                        // out now; so does the first result, which times
+                        // the first write.
+                        let write_now =
+                            last_write.is_none_or(|(rtt_us, _)| timing.compute_us > rtt_us);
+                        if write_now && !flush_outbox(&ls, &mut outbox, &mut last_write) {
+                            break;
                         }
                     }
                 }
             }
         }
     }
-    // Whatever ended the loop (shutdown, space closed, poisoned write):
-    // give unstarted prefetched tasks back if the space will still have
-    // them, so they are not lost with this worker.
+    // Whatever ended the loop (shutdown, space closed, failed write):
+    // write finished tasks' results and give unstarted prefetched tasks
+    // back if the space will still have them, so neither is lost with
+    // this worker.
+    flush_outbox(&ls, &mut outbox, &mut last_write);
     return_prefetched(&ls, &mut prefetched, &mut pending_timing);
     set_load(0);
     ls.config.duplex.send(RuleMessage::Bye);
@@ -434,14 +444,12 @@ fn worker_loop(ls: LoopState) {
 
 /// Tail-based trace retention (decided worker-side, after the task ends,
 /// where the task's flight records live): pin the current trace when the
-/// task errored/retried, or when its compute time reaches the configured
-/// percentile of this worker's per-job compute history. The threshold is
-/// taken *before* recording the new sample, so a task is judged against
-/// the distribution of its predecessors.
+/// task errored/retried, or when it is [`in_tail`] of this worker's
+/// per-job compute history.
 fn maybe_retain_trace(
     history: &mut std::collections::BTreeMap<String, acc_telemetry::HistoryRing>,
     job: &str,
-    compute_us: u64,
+    timing: &acc_cluster::TaskTiming,
     errored: bool,
     framework: &FrameworkConfig,
 ) {
@@ -454,20 +462,102 @@ fn maybe_retain_trace(
     let ring = history
         .entry(job.to_owned())
         .or_insert_with(|| acc_telemetry::HistoryRing::new(framework.history_depth));
-    let threshold = (ring.len() >= framework.trace_retention_min_samples.max(1))
-        .then(|| ring.percentile(framework.trace_retention_percentile))
-        .flatten();
-    ring.record(0, compute_us as i64);
-    let slow = threshold.is_some_and(|t| compute_us as i64 >= t);
-    if errored || slow {
+    if in_tail(ring, timing, framework) || errored {
         acc_telemetry::flight::retain_trace(ctx.trace_id);
         event!(
             "worker.trace.retained",
             job = job,
-            compute_us = compute_us,
+            compute_us = timing.compute_us,
             errored = errored
         );
     }
+}
+
+/// Records the task's compute time in `history` and says whether it lies
+/// strictly beyond the configured percentile of the samples before it (a
+/// task is judged against its predecessors), once there are enough.
+///
+/// A *flat* history has no tail: one whose median task computes for no
+/// longer than this task's share of the space round trips that moved it
+/// (`xfer_us` of the take plus `write_us` of the result write). Such
+/// tasks are dispatch-bound; their compute times differ by timer ticks
+/// and preemptions, not by work, and a run of them — all sharing the
+/// master's trace — would otherwise pin the whole run on its first
+/// hiccup and crowd genuinely slow traces out of the kept buffers.
+fn in_tail(
+    history: &acc_telemetry::HistoryRing,
+    timing: &acc_cluster::TaskTiming,
+    framework: &FrameworkConfig,
+) -> bool {
+    let bounds = (history.len() >= framework.trace_retention_min_samples.max(1))
+        .then(|| history.percentiles([0.5, framework.trace_retention_percentile]))
+        .flatten();
+    let compute_us = timing.compute_us as i64;
+    let space_us = (timing.xfer_us + timing.write_us) as i64;
+    history.record(0, compute_us);
+    bounds.is_some_and(|[median, threshold]| median > space_us && compute_us > threshold)
+}
+
+/// What a tuple in the worker's outbox is, for the accounting done once it
+/// is in the space.
+enum Outgoing {
+    /// A successful task's result.
+    Result(u64),
+    /// A failed task going back to the space for another attempt.
+    Retry,
+    /// A terminal error result for a task out of retries.
+    Poison(u64),
+}
+
+/// Writes the outbox — the finished tasks' result, retry and poison tuples
+/// — to the space in one batched write (one round trip on a remote space),
+/// then counts each tuple as written, and records the write's round trip
+/// and tuple count in `last_write`. Returns `false` when the write failed:
+/// the space is gone, and the worker must stop rather than keep taking
+/// tasks whose results it cannot deliver.
+fn flush_outbox(
+    ls: &LoopState,
+    outbox: &mut Vec<(Tuple, Outgoing)>,
+    last_write: &mut Option<(u64, u64)>,
+) -> bool {
+    if outbox.is_empty() {
+        return true;
+    }
+    let (tuples, kinds): (Vec<Tuple>, Vec<Outgoing>) = outbox.drain(..).unzip();
+    // Each tuple carries its task's trace context: the write joins the
+    // first one's trace, and each tuple's event joins its own.
+    let traces: Vec<_> = tuples
+        .iter()
+        .map(crate::task::tuple_trace_context)
+        .collect();
+    let write_start = Instant::now();
+    let written = {
+        let _trace_ctx = traces[0].map(acc_telemetry::TraceContext::attach);
+        ls.config.space.write_all(tuples)
+    };
+    if written.is_err() {
+        return false;
+    }
+    *last_write = Some((write_start.elapsed().as_micros() as u64, kinds.len() as u64));
+    let mut results = 0;
+    for (kind, trace) in kinds.into_iter().zip(traces) {
+        let _trace_ctx = trace.map(acc_telemetry::TraceContext::attach);
+        match kind {
+            Outgoing::Result(task_id) => {
+                event!("worker.result.write", task_id = task_id);
+                series().tasks_completed.inc();
+                results += 1;
+            }
+            Outgoing::Retry => series().tasks_retried.inc(),
+            Outgoing::Poison(task_id) => {
+                event!("worker.result.write", task_id = task_id, poisoned = true);
+                series().tasks_poisoned.inc();
+            }
+        }
+    }
+    // One update per batch, so `tasks_done` never shows half a batch.
+    *ls.tasks_done.lock() += results;
+    true
 }
 
 /// Writes the worker's unstarted prefetched tasks back to the space in one
@@ -944,42 +1034,115 @@ mod tests {
         r.worker.shutdown();
     }
 
+    /// Squares its input after sleeping, counting the tasks it has begun.
+    struct Sleepy {
+        nap: Duration,
+        started: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl TaskExecutor for Sleepy {
+        fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
+            self.started.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(self.nap);
+            let x: u64 = task.input()?;
+            Ok((x * x).to_bytes())
+        }
+    }
+
+    fn sleepy(ms: u64) -> (Arc<Sleepy>, Arc<std::sync::atomic::AtomicUsize>) {
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let exec = Sleepy {
+            nap: Duration::from_millis(ms),
+            started: started.clone(),
+        };
+        (Arc::new(exec), started)
+    }
+
+    /// A space whose batch writes take `write_delay` (a slow link), and
+    /// which counts them.
+    struct SlowWriteStore {
+        inner: SpaceHandle,
+        write_delay: Duration,
+        batches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SlowWriteStore {
+        fn new(inner: &SpaceHandle, write_delay: Duration) -> Arc<SlowWriteStore> {
+            Arc::new(SlowWriteStore {
+                inner: inner.clone(),
+                write_delay,
+                batches: Default::default(),
+            })
+        }
+    }
+
+    impl TupleStore for SlowWriteStore {
+        fn write_leased(&self, tuple: Tuple, lease: Lease) -> SpaceResult<EntryId> {
+            self.inner.write_leased(tuple, lease)
+        }
+        fn write_all_leased(&self, tuples: Vec<Tuple>, lease: Lease) -> SpaceResult<Vec<EntryId>> {
+            std::thread::sleep(self.write_delay);
+            self.batches.fetch_add(1, Ordering::SeqCst);
+            self.inner.write_all_leased(tuples, lease)
+        }
+        fn read(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+            self.inner.read(t, timeout)
+        }
+        fn take(&self, t: &Template, timeout: Option<Duration>) -> SpaceResult<Option<Tuple>> {
+            self.inner.take(t, timeout)
+        }
+        fn count(&self, t: &Template) -> SpaceResult<usize> {
+            Ok(Space::count(&self.inner, t))
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn is_closed(&self) -> bool {
+            self.inner.is_closed()
+        }
+    }
+
+    fn prefetching(task_prefetch: usize) -> FrameworkConfig {
+        FrameworkConfig {
+            task_poll_timeout: Duration::from_millis(10),
+            task_prefetch,
+            ..FrameworkConfig::default()
+        }
+    }
+
     #[test]
     fn pause_returns_unstarted_prefetched_tasks_to_the_space() {
-        struct Slow;
-        impl TaskExecutor for Slow {
-            fn execute(&self, task: &TaskEntry) -> Result<Vec<u8>, ExecError> {
-                std::thread::sleep(Duration::from_millis(25));
-                let x: u64 = task.input()?;
-                Ok((x * x).to_bytes())
-            }
-        }
+        // Writes (40 ms) cost more than tasks (25 ms), so results wait
+        // for their batch.
         let space = Space::new("prefetching");
-        let store: StoreHandle = space.clone();
-        let r = rig_with(
-            space.clone(),
-            store,
-            Arc::new(Slow),
-            FrameworkConfig {
-                task_poll_timeout: Duration::from_millis(10),
-                task_prefetch: 4,
-                ..FrameworkConfig::default()
-            },
-            false,
-        );
+        let store = SlowWriteStore::new(&space, Duration::from_millis(40));
+        let (exec, started) = sleepy(25);
+        let r = rig_with(space.clone(), store, exec, prefetching(4), false);
         let total = 10u64;
         for i in 0..total {
             put_task(&r.space, i, i);
         }
         r.server.send_signal(r.worker.id(), Signal::Start);
-        wait_for(|| r.worker.tasks_done() >= 1, "first task done");
+        // Pause while the first task of the second batch of four runs.
+        wait_for(|| started.load(Ordering::SeqCst) == 5, "fifth task begun");
+        assert_eq!(
+            r.worker.tasks_done(),
+            4,
+            "the first batch's results land together"
+        );
         r.server.send_signal(r.worker.id(), Signal::Pause);
         wait_for(|| r.worker.state() == WorkerState::Paused, "pause");
-        // Let the loop reach its Paused arm, which flushes the buffer.
+        // Let the loop reach its Paused arm, which returns the buffer.
         std::thread::sleep(Duration::from_millis(60));
         let done = r.worker.tasks_done();
         let queued = space.count(&task_template("squares")) as u64;
-        assert!(done < total, "pause must land before the job finishes");
+        assert_eq!(done, 5, "the task running when the pause came completes");
+        assert_eq!(
+            space.count(&crate::task::result_template("squares")) as u64,
+            done,
+            "the results of the batch's finished tasks must be in the space \
+             before the worker pauses"
+        );
         assert_eq!(
             queued + done,
             total,
@@ -991,5 +1154,87 @@ mod tests {
         wait_for(|| r.worker.tasks_done() == total, "job completes");
         assert_eq!(space.count(&task_template("squares")), 0);
         r.worker.shutdown();
+    }
+
+    /// Runs `tasks` tasks through a worker prefetching 4 at a time and
+    /// returns how many batch writes its results took.
+    fn result_writes(exec: Arc<dyn TaskExecutor>, write_delay: Duration, tasks: u64) -> usize {
+        let space = Space::new("outbox");
+        let store = SlowWriteStore::new(&space, write_delay);
+        let r = rig_with(space.clone(), store.clone(), exec, prefetching(4), false);
+        let tuples: Vec<Tuple> = (0..tasks)
+            .map(|i| TaskEntry::new("squares", i, i.to_bytes()).to_tuple())
+            .collect();
+        space.write_all(tuples).unwrap();
+        r.server.send_signal(r.worker.id(), Signal::Start);
+        wait_for(|| r.worker.tasks_done() == tasks, "all tasks done");
+        let results = space.count(&crate::task::result_template("squares"));
+        assert_eq!(results as u64, tasks, "every result is in the space");
+        r.worker.shutdown();
+        store.batches.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn results_are_batched_only_while_tasks_are_dispatch_bound() {
+        // Microsecond tasks behind a 2 ms write: after the first result,
+        // which times the write, one write per batch of 4.
+        let writes = result_writes(Arc::new(SquareExec), Duration::from_millis(2), 12);
+        assert_eq!(writes, 1 + 3);
+        // 20 ms tasks behind a microsecond write: each result goes out as
+        // soon as its task ends.
+        let writes = result_writes(sleepy(20).0, Duration::ZERO, 8);
+        assert_eq!(writes, 8);
+    }
+
+    fn history(samples: impl IntoIterator<Item = u64>) -> acc_telemetry::HistoryRing {
+        let ring = acc_telemetry::HistoryRing::new(256);
+        for us in samples {
+            ring.record(0, us as i64);
+        }
+        ring
+    }
+
+    fn took(compute_us: u64, xfer_us: u64) -> acc_cluster::TaskTiming {
+        acc_cluster::TaskTiming {
+            compute_us,
+            xfer_us,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn flat_compute_history_retains_nothing() {
+        let cfg = FrameworkConfig::default();
+        // Microsecond tasks fetched over a ~40 µs round trip: samples
+        // truncate to a few timer ticks, with the odd preemption.
+        let ring = history((0..200).map(|i| if i % 50 == 0 { 900 } else { i % 5 }));
+        for us in [0, 4, 5, 40, 1_100] {
+            assert!(!in_tail(&ring, &took(us, 40), &cfg), "{us} µs retained");
+        }
+        // Ties: a history of identical samples has no tail either.
+        let ties = history([0; 100]);
+        assert!(!in_tail(&ties, &took(1, 0), &cfg));
+    }
+
+    #[test]
+    fn tail_is_strictly_beyond_the_percentile() {
+        let cfg = FrameworkConfig::default();
+        // Six-millisecond tasks with scheduling jitter.
+        let ring = history((0..100).map(|i| 6_000 + (i % 20) * 10));
+        assert!(
+            !in_tail(&ring, &took(6_050, 40), &cfg),
+            "the body is not the tail"
+        );
+        let p95 = ring.percentile(cfg.trace_retention_percentile).unwrap() as u64;
+        assert!(
+            !in_tail(&ring, &took(p95, 40), &cfg),
+            "a tie is not the tail"
+        );
+        assert!(
+            in_tail(&ring, &took(80_000, 40), &cfg),
+            "a straggler task is"
+        );
+        // Too little history to judge.
+        assert!(!in_tail(&history([1_000; 3]), &took(80_000, 40), &cfg));
     }
 }

@@ -116,15 +116,22 @@ impl HistoryRing {
     /// the ring is empty. `q` is clamped to `[0, 1]`; `percentile(0.99)`
     /// matches [`RingStats::p99`].
     pub fn percentile(&self, q: f64) -> Option<i64> {
+        self.percentiles([q]).map(|[v]| v)
+    }
+
+    /// Several nearest-rank percentiles from one sort of the samples, in
+    /// the order asked; `None` when the ring is empty.
+    pub fn percentiles<const N: usize>(&self, qs: [f64; N]) -> Option<[i64; N]> {
         let samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
         if samples.is_empty() {
             return None;
         }
         let mut sorted: Vec<i64> = samples.iter().map(|s| s.value).collect();
         sorted.sort_unstable();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((sorted.len() as f64) * q).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        Some(qs.map(|q| {
+            let rank = ((sorted.len() as f64) * q.clamp(0.0, 1.0)).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        }))
     }
 
     /// Statistics over samples with `at_ms >= since_ms`.
@@ -223,6 +230,7 @@ mod tests {
         assert_eq!(ring.percentile(0.0), Some(1));
         assert_eq!(ring.percentile(1.0), Some(100));
         assert_eq!(ring.percentile(2.0), Some(100));
+        assert_eq!(ring.percentiles([0.5, 0.95]), Some([50, 95]));
     }
 
     #[test]

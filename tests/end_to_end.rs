@@ -8,7 +8,9 @@ use adaptive_spaces::apps::prefetch::{pagerank_sequential, run_pagerank_parallel
 use adaptive_spaces::apps::pricing::{price_sequential, OptionSpec, PricingApp};
 use adaptive_spaces::apps::raytrace::{benchmark_scene, render_sequential, RayTraceApp};
 use adaptive_spaces::cluster::NodeSpec;
-use adaptive_spaces::framework::{AdaptiveCluster, ClusterBuilder, FrameworkConfig, Master};
+use adaptive_spaces::framework::{
+    AdaptiveCluster, ClusterBuilder, FrameworkConfig, Master, WorkerState,
+};
 
 fn fast_config() -> FrameworkConfig {
     FrameworkConfig {
@@ -74,6 +76,63 @@ fn prefetch_pagerank_parallel_equals_sequential() {
     let (expected, expected_iters) = pagerank_sequential(&matrix, &app.solver);
     assert_eq!(app.iterations(), expected_iters);
     assert_eq!(app.ranks(), &expected[..], "bit-identical PageRank");
+    cluster.shutdown();
+}
+
+#[test]
+fn pagerank_rounds_keep_both_remote_workers_running() {
+    // Microsecond PageRank strips, where one preemption can put a task
+    // 100x over its worker's median: the straggler detector must not
+    // read that as a slow worker and stop it, or one worker ends up
+    // running every round alone.
+    let pages = adaptive_spaces::apps::prefetch::generate_cluster("acme", 500, 11);
+    let graph = adaptive_spaces::apps::prefetch::LinkGraph::from_pages(&pages);
+    let matrix = adaptive_spaces::apps::prefetch::StochasticMatrix::from_graph(&graph);
+    let fresh_app = || {
+        let mut app = PrefetchApp::new(matrix.clone(), 20);
+        app.solver.max_iterations = 15;
+        app.solver.tolerance = 0.0;
+        app
+    };
+    let mut cluster = ClusterBuilder::new(fast_config()).build();
+    cluster.install(&fresh_app());
+    for i in 0..2 {
+        cluster
+            .add_remote_worker(NodeSpec::new(format!("remote-{i}"), 800, 256))
+            .unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while cluster
+        .workers()
+        .iter()
+        .any(|w| w.state() != WorkerState::Running)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "workers never started"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Four 15-round jobs: 60 rounds of 25 strips.
+    for _ in 0..4 {
+        let mut app = fresh_app();
+        for round in 0..15 {
+            let report = cluster.run(&mut app);
+            assert!(report.complete, "round {round}: {:?}", report.failures);
+            app.finish_iteration();
+        }
+    }
+    for worker in cluster.workers() {
+        assert_eq!(worker.state(), WorkerState::Running, "{}", worker.name());
+        assert!(worker.tasks_done() > 0, "{} did no work", worker.name());
+    }
+    let flagged: Vec<_> = cluster
+        .monitor()
+        .decisions()
+        .into_iter()
+        .filter(|d| d.straggler)
+        .collect();
+    assert!(flagged.is_empty(), "straggler decisions: {flagged:?}");
     cluster.shutdown();
 }
 
